@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.config.system import TrackerConfig
 from repro.structures.bloom_filter import CountingBloomFilter
-from repro.structures.cuckoo_filter import CuckooFilter
+from repro.structures.cuckoo_filter import PartitionedCuckooFilter
 
 
 class _PerfectFilter:
@@ -52,6 +52,35 @@ class _PerfectFilter:
         return float("inf")
 
 
+class _FilterPartitions:
+    """One filter per GPU behind :class:`PartitionedCuckooFilter`'s
+    interface (the bloom and perfect ablations)."""
+
+    __slots__ = ("_filters",)
+
+    def __init__(self, filters: list[CountingBloomFilter | _PerfectFilter]) -> None:
+        self._filters = filters
+
+    def insert(self, partition: int, pid: int, vpn: int) -> bool:
+        return self._filters[partition].insert(pid, vpn)
+
+    def delete(self, partition: int, pid: int, vpn: int) -> bool:
+        return self._filters[partition].delete(pid, vpn)
+
+    def query(self, pid: int, vpn: int) -> list[int]:
+        return [p for p, filt in enumerate(self._filters) if filt.contains(pid, vpn)]
+
+    def clear(self, partition: int | None = None) -> None:
+        for filt in self._filters if partition is None else [self._filters[partition]]:
+            filt.clear()
+
+    def occupancy(self, partition: int) -> int:
+        return len(self._filters[partition])
+
+    def size_bytes(self) -> float:
+        return sum(filt.size_bytes() for filt in self._filters)
+
+
 @dataclass(slots=True)
 class TrackerStats:
     """Aggregate operation counts across all tracker partitions."""
@@ -74,34 +103,30 @@ class LocalTLBTracker:
         per_gpu = max(config.bucket_size, config.total_entries // num_gpus)
         # Round down to a bucket multiple so the cuckoo geometry is valid.
         per_gpu -= per_gpu % config.bucket_size
-        self._filters = [self._make_filter(per_gpu, seed + g) for g in range(num_gpus)]
-        self.stats = TrackerStats()
-
-    def _make_filter(
-        self, entries: int, seed: int
-    ) -> CuckooFilter | CountingBloomFilter | _PerfectFilter:
-        if self.config.kind == "cuckoo":
-            return CuckooFilter(
-                num_entries=entries,
-                bucket_size=self.config.bucket_size,
-                fingerprint_bits=self.config.fingerprint_bits,
-                seed=seed,
+        self._filters: PartitionedCuckooFilter | _FilterPartitions
+        if config.kind == "cuckoo":
+            self._filters = PartitionedCuckooFilter(
+                num_gpus, per_gpu, config.bucket_size, config.fingerprint_bits, seed=seed
             )
-        if self.config.kind == "bloom":
-            return CountingBloomFilter(num_cells=entries * 2, num_hashes=2)
-        return _PerfectFilter()
+        else:
+            self._filters = _FilterPartitions([
+                CountingBloomFilter(num_cells=per_gpu * 2, num_hashes=2)
+                if config.kind == "bloom" else _PerfectFilter()
+                for _ in range(num_gpus)
+            ])
+        self.stats = TrackerStats()
 
     # -- protocol operations ---------------------------------------------------
 
     def register(self, gpu_id: int, pid: int, vpn: int) -> None:
         """A translation entered ``gpu_id``'s L2 TLB."""
         self.stats.registrations += 1
-        self._filters[gpu_id].insert(pid, vpn)
+        self._filters.insert(gpu_id, pid, vpn)
 
     def unregister(self, gpu_id: int, pid: int, vpn: int) -> None:
         """A translation left ``gpu_id``'s L2 TLB."""
         self.stats.unregistrations += 1
-        self._filters[gpu_id].delete(pid, vpn)
+        self._filters.delete(gpu_id, pid, vpn)
 
     def query(self, pid: int, vpn: int) -> list[int]:
         """GPUs whose filter reports the translation resident.
@@ -110,11 +135,7 @@ class LocalTLBTracker:
         tolerates this by racing the walk with the remote probe.
         """
         self.stats.queries += 1
-        positives = [
-            gpu_id
-            for gpu_id, filt in enumerate(self._filters)
-            if filt.contains(pid, vpn)
-        ]
+        positives = self._filters.query(pid, vpn)
         if positives:
             self.stats.positives += 1
             if len(positives) > 1:
@@ -123,17 +144,13 @@ class LocalTLBTracker:
 
     def clear(self, gpu_id: int | None = None) -> None:
         """Shootdown handling: reset one GPU's partition or all of them."""
-        if gpu_id is None:
-            for filt in self._filters:
-                filt.clear()
-        else:
-            self._filters[gpu_id].clear()
+        self._filters.clear(gpu_id)
 
     # -- introspection -------------------------------------------------------------
 
     def occupancy(self, gpu_id: int) -> int:
-        return len(self._filters[gpu_id])
+        return self._filters.occupancy(gpu_id)
 
     def size_bytes(self) -> float:
         """Total tracker storage (the paper reports 1.08 KB)."""
-        return sum(f.size_bytes() for f in self._filters)
+        return self._filters.size_bytes()

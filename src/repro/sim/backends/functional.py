@@ -58,7 +58,6 @@ from repro.core.protocol import (
 from repro.core.tracker import LocalTLBTracker
 from repro.engine.watchdog import SimulationStalledError
 from repro.sim.results import AppResult, SimulationResult
-from repro.structures.cuckoo_filter import _splitmix64
 from repro.structures.tlb_array import VPN_BITS, InfinitePackedTLB, PackedTLB
 from repro.workloads.trace import Workload
 
@@ -268,146 +267,6 @@ class _FlatPageTables:
         return ppn
 
 
-class _FlatCuckooTracker:
-    """Flat mirror of :class:`repro.core.tracker.LocalTLBTracker` over
-    cuckoo-filter partitions.
-
-    Two observations make this fast without changing a single observable:
-
-    * the hash geometry ``(fingerprint, i1, i2)`` of a key depends only on
-      the key and the (shared) bucket count — the per-partition seed feeds
-      only the relocation RNG — so one memo dict serves every GPU's filter,
-      and each key pays the two ``_splitmix64`` calls once per run instead
-      of twice per operation (a tracker *query* costs ``2 × num_gpus``
-      mixes in the object model);
-    * ``_splitmix64(fp)`` in the alternate-index computation ranges over at
-      most ``2**fingerprint_bits`` values, so it is a table lookup.
-
-    Bucket contents, relocation order, RNG draw sequence (``Random(seed +
-    gpu)``, consulted only when both candidate buckets are full), and the
-    :class:`TrackerStats` counters are bit-identical to the object model.
-    """
-
-    __slots__ = (
-        "num_buckets",
-        "bucket_size",
-        "max_kicks",
-        "fp_mask",
-        "buckets",
-        "rngs",
-        "sm_fp",
-        "memo",
-        "registrations",
-        "unregistrations",
-        "queries",
-        "positives",
-        "multi_positives",
-    )
-
-    def __init__(self, config: Any, num_gpus: int, seed: int) -> None:
-        per_gpu = max(config.bucket_size, config.total_entries // num_gpus)
-        per_gpu -= per_gpu % config.bucket_size  # bucket-multiple, like tracker
-        self.bucket_size = config.bucket_size
-        self.num_buckets = per_gpu // self.bucket_size
-        self.max_kicks = 64  # CuckooFilter default; tracker does not override
-        self.fp_mask = (1 << config.fingerprint_bits) - 1
-        self.buckets: list[list[list[int]]] = [
-            [[] for _ in range(self.num_buckets)] for _ in range(num_gpus)
-        ]
-        self.rngs = [random.Random(seed + g) for g in range(num_gpus)]
-        self.sm_fp = [_splitmix64(fp) for fp in range(self.fp_mask + 1)]
-        self.memo: dict[int, tuple[int, int, int]] = {}
-        self.registrations = 0
-        self.unregistrations = 0
-        self.queries = 0
-        self.positives = 0
-        self.multi_positives = 0
-
-    @property
-    def stats(self) -> "_FlatCuckooTracker":
-        """Duck-typed TrackerStats view (the counters live on ``self``)."""
-        return self
-
-    def _locate(self, pid: int, vpn: int) -> tuple[int, int, int]:
-        key = (pid << 48) ^ vpn
-        entry = self.memo.get(key)
-        if entry is None:
-            key_hash = _splitmix64(key)
-            fp = (key_hash >> 40) & self.fp_mask
-            if fp == 0:
-                fp = 1
-            i1 = key_hash % self.num_buckets
-            i2 = (i1 ^ self.sm_fp[fp]) % self.num_buckets
-            entry = (fp, i1, i2)
-            self.memo[key] = entry
-        return entry
-
-    def register(self, gpu_id: int, pid: int, vpn: int) -> None:
-        self.registrations += 1
-        fp, i1, i2 = self._locate(pid, vpn)
-        buckets = self.buckets[gpu_id]
-        size = self.bucket_size
-        for index in (i1, i2):
-            bucket = buckets[index]
-            if len(bucket) < size:
-                bucket.append(fp)
-                return
-        # Both buckets full: cuckoo relocation, exact RNG call sequence.
-        # ``Random.choice(seq)`` and ``Random.randrange(n)`` both reduce to
-        # ``_randbelow(n)`` — ``getrandbits(n.bit_length())`` redrawn while
-        # >= n — so the draws are replayed against ``getrandbits`` directly
-        # (no Python frames per draw).  tests pin this equivalence against
-        # the object model, so an interpreter that changed ``_randbelow``
-        # would be caught, not silently diverged from.
-        grb = self.rngs[gpu_id].getrandbits
-        sm_fp = self.sm_fp
-        nb = self.num_buckets
-        draw = grb(2)  # choice((i1, i2)): _randbelow(2), 2 bits
-        while draw >= 2:
-            draw = grb(2)
-        index = i2 if draw else i1
-        kbits = size.bit_length()  # randrange(size): _randbelow(size)
-        for _ in range(self.max_kicks):
-            slot = grb(kbits)
-            while slot >= size:
-                slot = grb(kbits)
-            bucket = buckets[index]
-            fp, bucket[slot] = bucket[slot], fp
-            index = (index ^ sm_fp[fp]) % nb
-            bucket = buckets[index]
-            if len(bucket) < size:
-                bucket.append(fp)
-                return
-        # Chain exhausted: the displaced fingerprint is dropped (a future
-        # false negative its key's owner tolerates via the PTW race).
-
-    def unregister(self, gpu_id: int, pid: int, vpn: int) -> None:
-        self.unregistrations += 1
-        fp, i1, i2 = self._locate(pid, vpn)
-        buckets = self.buckets[gpu_id]
-        bucket = buckets[i1]
-        if fp in bucket:
-            bucket.remove(fp)
-            return
-        bucket = buckets[i2]
-        if fp in bucket:
-            bucket.remove(fp)
-
-    def query(self, pid: int, vpn: int) -> list[int]:
-        self.queries += 1
-        fp, i1, i2 = self._locate(pid, vpn)
-        found = [
-            gpu_id
-            for gpu_id, buckets in enumerate(self.buckets)
-            if fp in buckets[i1] or fp in buckets[i2]
-        ]
-        if found:
-            self.positives += 1
-            if len(found) > 1:
-                self.multi_positives += 1
-        return found
-
-
 def _resolve_policy(
     workload: Workload, policy: str, policy_options: dict[str, Any]
 ) -> tuple[bool, str, bool, bool, bool, str]:
@@ -606,13 +465,7 @@ def run_functional(
         for pid, vpns in workload.footprints.items():
             page_tables.prefault(pid, vpns.tolist())
 
-    tracker: _FlatCuckooTracker | LocalTLBTracker | None = None
-    if is_least:
-        if config.tracker.kind == "cuckoo":
-            tracker = _FlatCuckooTracker(config.tracker, num_gpus, config.seed)
-        else:
-            # bloom / perfect ablations: the object model is cheap enough.
-            tracker = LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
+    tracker = LocalTLBTracker(config.tracker, num_gpus, seed=config.seed) if is_least else None
     receiver_rng = random.Random(config.seed) if is_least else None
     multi_probe_removes = probe_removes_entry(mode)
 

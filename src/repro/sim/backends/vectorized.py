@@ -26,9 +26,9 @@ restructuring the replay loop itself around batch-friendly machinery:
   demonstrates hit-dense chains (large-page traces, high-locality
   sweeps).  ``chunk_size`` bounds the lookahead (see
   ``docs/performance.md`` for tuning notes).
-* **Shared seeded structures.**  The cuckoo tracker, page tables, and
-  policy RNG are the functional backend's own (``_FlatCuckooTracker``,
-  ``_FlatPageTables``, ``random.Random(config.seed)``), so every draw
+* **Shared seeded structures.**  The tracker is every backend's
+  ``LocalTLBTracker``; page tables and policy RNG are the functional
+  backend's own (``_FlatPageTables``, ``random.Random(config.seed)``), so every draw
   sequence — and therefore every bucket state and tracker counter — is
   bit-identical by construction rather than by re-implementation.
 
@@ -78,7 +78,6 @@ from repro.sim.backends.functional import (
     _RUNNING,
     BackendUnsupported,
     _check_supported,
-    _FlatCuckooTracker,
     _FlatPageTables,
     _Pend,
     _resolve_policy,
@@ -306,12 +305,7 @@ def run_vectorized(
         for pid, vpns in workload.footprints.items():
             page_tables.prefault(pid, vpns.tolist())
 
-    tracker: _FlatCuckooTracker | LocalTLBTracker | None = None
-    if is_least:
-        if config.tracker.kind == "cuckoo":
-            tracker = _FlatCuckooTracker(config.tracker, num_gpus, config.seed)
-        else:
-            tracker = LocalTLBTracker(config.tracker, num_gpus, seed=config.seed)
+    tracker = LocalTLBTracker(config.tracker, num_gpus, seed=config.seed) if is_least else None
     receiver_rng = random.Random(config.seed) if is_least else None
     multi_probe_removes = probe_removes_entry(mode)
 

@@ -513,12 +513,13 @@ def _run(
         runner = _run_in_process
     else:
         runner = _run_supervised
-    outcomes.extend(
-        runner(
-            misses, workers=workers, cache=cache, note=note, policy=policy,
-            chaos_state=chaos_state, journal=journal,
-        )
+    done = runner(
+        misses, workers=workers, cache=cache, note=note, policy=policy,
+        chaos_state=chaos_state, journal=journal,
     )
+    # Workers finish in a timing-dependent order; report submission order.
+    rank = {job.digest: job.index for job in misses}
+    outcomes.extend(sorted(done, key=lambda o: rank[o.digest]))
     return outcomes
 
 

@@ -1,7 +1,7 @@
 """Hardware state structures: TLBs, trackers' filters, and page tables."""
 
 from repro.structures.bloom_filter import CountingBloomFilter
-from repro.structures.cuckoo_filter import CuckooFilter
+from repro.structures.cuckoo_filter import CuckooFilter, PartitionedCuckooFilter
 from repro.structures.page_table import PageTable, PageTableManager, WalkResult
 from repro.structures.replacement import (
     FIFOPolicy,
@@ -21,6 +21,7 @@ from repro.structures.tlb import (
 __all__ = [
     "CountingBloomFilter",
     "CuckooFilter",
+    "PartitionedCuckooFilter",
     "PageTable",
     "PageTableManager",
     "WalkResult",

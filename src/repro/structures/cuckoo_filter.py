@@ -17,12 +17,19 @@ paper's protocol depends on them being tolerable:
   fingerprint is displaced (the victim key is silently forgotten); deleting a
   key may likewise remove an aliased twin's fingerprint.  A tracker miss only
   costs a page-table walk, so correctness is unaffected.
+
+:class:`CuckooFilter` is the single-filter reference model; every backend's
+tracker runs on :class:`PartitionedCuckooFilter`, bit-identical to one per GPU.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+
+#: Relocation-chain bound, shared so the tracker and the reference agree.
+MAX_KICKS = 64
 
 
 def _splitmix64(x: int) -> int:
@@ -32,6 +39,16 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def _check_geometry(num_entries: int, bucket_size: int, fingerprint_bits: int) -> None:
+    if num_entries <= 0 or num_entries % bucket_size != 0:
+        raise ValueError(
+            f"num_entries {num_entries} must be a positive multiple of "
+            f"bucket_size {bucket_size}"
+        )
+    if not 2 <= fingerprint_bits <= 32:
+        raise ValueError(f"fingerprint_bits out of range: {fingerprint_bits}")
 
 
 @dataclass(slots=True)
@@ -78,16 +95,10 @@ class CuckooFilter:
         num_entries: int = 512,
         bucket_size: int = 4,
         fingerprint_bits: int = 6,
-        max_kicks: int = 64,
+        max_kicks: int = MAX_KICKS,
         seed: int = 0,
     ) -> None:
-        if num_entries <= 0 or num_entries % bucket_size != 0:
-            raise ValueError(
-                f"num_entries {num_entries} must be a positive multiple of "
-                f"bucket_size {bucket_size}"
-            )
-        if not 2 <= fingerprint_bits <= 32:
-            raise ValueError(f"fingerprint_bits out of range: {fingerprint_bits}")
+        _check_geometry(num_entries, bucket_size, fingerprint_bits)
         self.num_buckets = num_entries // bucket_size
         self.bucket_size = bucket_size
         self.fingerprint_bits = fingerprint_bits
@@ -196,3 +207,125 @@ class CuckooFilter:
     def size_bytes(self) -> float:
         """Storage cost in bytes (fingerprints only, as the paper counts)."""
         return self.capacity * self.fingerprint_bits / 8
+
+
+class PartitionedCuckooFilter:
+    """``num_partitions`` cuckoo filters of one geometry (the tracker's
+    per-GPU partitions).  Partition ``p`` is bit-identical to
+    ``CuckooFilter(num_entries, bucket_size, fingerprint_bits, seed=seed + p)``:
+    buckets in the same order, RNG draws, ``displaced`` and
+    ``failed_deletions``.  It is faster because:
+
+    * a key's ``(fingerprint, i1, i2)`` depends only on the key and the
+      shared bucket count, so it is hashed once per key for all partitions;
+    * ``_splitmix64(fp)`` in the alternate index is mixed once per
+      fingerprint, then looked up;
+    * ``Random.choice(seq)`` and ``Random.randrange(n)`` both reduce to
+      ``_randbelow(n)``: ``getrandbits(n.bit_length())`` redrawn while
+      ``>= n``.  The kick loop replays those draws on ``getrandbits``;
+      ``tests/backends/test_flat_tracker.py`` pins this against the
+      reference, so a change to ``_randbelow`` fails there.
+    """
+
+    __slots__ = ("num_partitions", "num_buckets", "bucket_size", "fingerprint_bits",
+                 "buckets", "displaced", "failed_deletions",
+                 "_fp_mask", "_slot_bits", "_rngs", "_alt", "_memo")
+
+    def __init__(self, num_partitions: int, num_entries: int = 512, bucket_size: int = 4,
+                 fingerprint_bits: int = 6, seed: int = 0) -> None:
+        _check_geometry(num_entries, bucket_size, fingerprint_bits)
+        self.num_partitions = num_partitions
+        self.num_buckets = num_entries // bucket_size
+        self.bucket_size = bucket_size
+        self.fingerprint_bits = fingerprint_bits
+        self.buckets: list[list[list[int]]] = [
+            [[] for _ in range(self.num_buckets)] for _ in range(num_partitions)
+        ]
+        # Per-partition overflow accounting, as in CuckooFilterStats.
+        self.displaced = [0] * num_partitions
+        self.failed_deletions = [0] * num_partitions
+        self._fp_mask = (1 << fingerprint_bits) - 1
+        self._slot_bits = bucket_size.bit_length()
+        self._rngs = [random.Random(seed + p) for p in range(num_partitions)]
+        self._alt: dict[int, int] = {}
+        self._memo: dict[int, tuple[int, int, int]] = {}
+
+    def _locate(self, key: int) -> tuple[int, int, int]:
+        key_hash = _splitmix64(key)
+        fp = (key_hash >> 40) & self._fp_mask or 1
+        # Every fingerprint in a bucket came through here, so the kick
+        # loop finds its alternate-index mix in this table.
+        alt = self._alt.get(fp)
+        if alt is None:
+            alt = self._alt[fp] = _splitmix64(fp)
+        i1 = key_hash % self.num_buckets
+        entry = self._memo[key] = (fp, i1, (i1 ^ alt) % self.num_buckets)
+        return entry
+
+    def insert(self, partition: int, pid: int, vpn: int) -> bool:
+        """:meth:`CuckooFilter.insert` on one partition."""
+        key = (pid << 48) ^ vpn
+        fp, i1, i2 = self._memo.get(key) or self._locate(key)
+        buckets = self.buckets[partition]
+        size = self.bucket_size
+        bucket = buckets[i1]
+        if len(bucket) < size:
+            bucket.append(fp)
+            return True
+        other = buckets[i2]
+        if len(other) < size:
+            other.append(fp)
+            return True
+        grb = self._rngs[partition].getrandbits
+        draw = grb(2)  # choice((i1, i2))
+        while draw >= 2:
+            draw = grb(2)
+        index, bucket = (i2, other) if draw else (i1, bucket)
+        alt = self._alt
+        num_buckets = self.num_buckets
+        slot_bits = self._slot_bits
+        for _ in range(MAX_KICKS):
+            slot = grb(slot_bits)  # randrange(bucket_size)
+            while slot >= size:
+                slot = grb(slot_bits)
+            fp, bucket[slot] = bucket[slot], fp
+            index = (index ^ alt[fp]) % num_buckets
+            bucket = buckets[index]
+            if len(bucket) < size:
+                bucket.append(fp)
+                return True
+        self.displaced[partition] += 1
+        return False
+
+    def delete(self, partition: int, pid: int, vpn: int) -> bool:
+        """:meth:`CuckooFilter.delete` on one partition."""
+        key = (pid << 48) ^ vpn
+        fp, i1, i2 = self._memo.get(key) or self._locate(key)
+        buckets = self.buckets[partition]
+        for bucket in (buckets[i1], buckets[i2]):
+            if fp in bucket:
+                bucket.remove(fp)
+                return True
+        self.failed_deletions[partition] += 1
+        return False
+
+    def query(self, pid: int, vpn: int) -> list[int]:
+        """Partitions that contain the key (false positives included)."""
+        key = (pid << 48) ^ vpn
+        fp, i1, i2 = self._memo.get(key) or self._locate(key)
+        return [p for p, buckets in enumerate(self.buckets)
+                if fp in buckets[i1] or fp in buckets[i2]]
+
+    def clear(self, partition: int | None = None) -> None:
+        """Reset one partition, or all of them."""
+        for buckets in self.buckets if partition is None else (self.buckets[partition],):
+            for bucket in buckets:
+                bucket.clear()
+
+    def occupancy(self, partition: int) -> int:
+        return sum(len(bucket) for bucket in self.buckets[partition])
+
+    def size_bytes(self) -> float:
+        """Storage cost of all partitions (fingerprints only)."""
+        slots = self.num_partitions * self.num_buckets * self.bucket_size
+        return slots * self.fingerprint_bits / 8
