@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from repro.config.presets import baseline_config
 from repro.config.system import SystemConfig
-from repro.sim.backends import BackendUnsupported
+from repro.sim.backends import BACKENDS, BackendUnsupported
 from repro.sim.cache import ResultCache, run_fingerprint
 from repro.sim.driver import run_alone, run_mix, run_multi_app, run_single_app
 from repro.sim.results import AppResult, SimulationResult
@@ -29,9 +29,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.5"))
 
 #: Lab-wide backend selection: ``auto`` routes statistics-only calls
-#: (``fast=True``) to the vectorized fast path and everything else to the
-#: event engine; ``event``/``functional``/``vectorized`` force one backend
-#: for all calls.
+#: (``fast=True``) to the functional fast path and everything else to the
+#: event engine; ``event``/``functional`` force one backend for all calls.
 DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "auto")
 
 
@@ -53,6 +52,11 @@ class ResultLab:
         cache: ResultCache | None = None,
         backend: str = DEFAULT_BACKEND,
     ) -> None:
+        if backend not in ("auto", *BACKENDS):
+            raise ValueError(
+                f"unknown backend {backend!r} (expected one of "
+                f"{', '.join(('auto', *BACKENDS))})"
+            )
         self.scale = scale
         self.seed = seed
         self.backend = backend
@@ -74,11 +78,11 @@ class ResultLab:
         seed = self.seed if self.seed is not None else resolved.seed
         backend = self.backend
         if backend == "auto":
-            backend = "vectorized" if fast else "event"
+            backend = "functional" if fast else "event"
         # Backends are cross-validated bit-identical, so a result already
         # simulated this session on any backend serves them all.
         base_key = (kind, workload, policy, tag, self.scale, seed)
-        for b in ("event", "functional", "vectorized"):
+        for b in BACKENDS:
             result = self._session.get((*base_key, b))
             if result is not None:
                 return result
@@ -95,7 +99,7 @@ class ResultLab:
             self._session[(*base_key, b)] = result
             return result
 
-        if backend in ("functional", "vectorized"):
+        if backend == "functional":
             try:
                 return attempt(backend)
             except BackendUnsupported:

@@ -13,12 +13,6 @@ writes them to ``BENCH_kernel.json``:
 * **fastpath throughput** — events/second of the functional backend
   (``repro.sim.backends``) replaying the same kernel cases, plus its
   speedup over the event engine (see ``docs/backends.md``);
-* **vectorized throughput** — events/second of the vectorized backend on
-  the same cases at ``--shards 1``, 2 and 4 (``repro.sim.sharding``),
-  each with its speedup over the event engine and the multi-shard rows
-  with their scaling versus the single-shard run.  Shard rows measure
-  the *sharded semantics* (see ``docs/backends.md``): wall-clock scaling
-  only appears when real cores back the worker processes;
 * **serve throughput** — the ``repro serve`` daemon (``docs/service.md``)
   measured through a real HTTP client: cached submissions/second (the
   dedup + transport overhead) and cold single-job end-to-end jobs/second
@@ -57,8 +51,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.config.presets import baseline_config  # noqa: E402
-from repro.sim.backends import run_functional, run_vectorized  # noqa: E402
-from repro.sim.sharding import run_sharded  # noqa: E402
+from repro.sim.backends import run_functional  # noqa: E402
 from repro.sim.cache import ResultCache, code_version_hash  # noqa: E402
 from repro.sim.parallel import expand_matrix, matrix_summary, run_matrix, select_benches  # noqa: E402
 from repro.sim.system import MultiGPUSystem  # noqa: E402
@@ -146,72 +139,6 @@ def measure_fastpath(scale: float, repeats: int, kernel_rows: list[dict]) -> lis
             f"{events / best:>10,.0f} events/s"
             + (f"  ({speedup:.2f}x event)" if speedup is not None else "")
         )
-    return rows
-
-
-#: Shard counts measured by the ``vectorized`` section.
-SHARD_COUNTS = (1, 2, 4)
-
-
-def measure_vectorized(
-    scale: float, repeats: int, kernel_rows: list[dict]
-) -> list[dict]:
-    """Best-of-N vectorized-backend throughput, single-shard and sharded.
-
-    One row per (case, shard count).  ``speedup_vs_event`` relates every
-    row to the event engine's single-process run of the same case;
-    ``scaling_vs_1shard`` relates the sharded rows to the vectorized
-    single-shard row (>1 needs real cores behind the workers — on a
-    single-core box the worker processes serialise and the ratio mostly
-    shows process overhead).
-    """
-    event_rows = {row["name"]: row for row in kernel_rows}
-    rows = []
-    for label, name, policy, builder in KERNEL_CASES:
-        config = baseline_config()
-        workload = builder(name, config, scale=scale)
-        shard1_eps = None
-        for shards in SHARD_COUNTS:
-            best = None
-            events = 0
-            for _ in range(repeats):
-                start = time.perf_counter()
-                if shards == 1:
-                    result = run_vectorized(config, workload, policy)
-                else:
-                    result = run_sharded(
-                        config, workload, policy,
-                        backend="vectorized", shards=shards,
-                    )
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None or elapsed < best else best
-                events = result.events_executed
-            eps = events / best
-            if shards == 1:
-                shard1_eps = eps
-            event = event_rows.get(label)
-            row = {
-                "name": f"{label}@s{shards}" if shards != 1 else label,
-                "scale": scale,
-                "shards": shards,
-                "wall_seconds": round(best, 6),
-                "events": events,
-                "events_per_sec": round(eps, 1),
-                "speedup_vs_event": (
-                    round(eps / event["events_per_sec"], 3)
-                    if event and event["events_per_sec"] > 0
-                    else None
-                ),
-            }
-            if shards != 1 and shard1_eps:
-                row["scaling_vs_1shard"] = round(eps / shard1_eps, 3)
-            rows.append(row)
-            print(
-                f"vectorized {row['name']:<17} {events:>9,} events  "
-                f"{best:.3f}s  {eps:>10,.0f} events/s"
-                + (f"  ({row['speedup_vs_event']:.2f}x event)"
-                   if row["speedup_vs_event"] is not None else "")
-            )
     return rows
 
 
@@ -434,7 +361,7 @@ def check_regression(report: dict, baseline_path: Path, max_regression: float) -
         print(f"error: cannot read baseline {baseline_path}: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    for section in ("kernel", "fastpath", "vectorized", "serve", "ingest"):
+    for section in ("kernel", "fastpath", "serve", "ingest"):
         base_rows = {row["name"]: row for row in baseline.get(section, [])}
         for row in report.get(section, []):
             base = base_rows.get(row["name"])
@@ -489,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         "kernel": measure_kernel(args.scale, args.repeats),
     }
     report["fastpath"] = measure_fastpath(
-        args.scale, args.repeats, report["kernel"]
-    )
-    report["vectorized"] = measure_vectorized(
         args.scale, args.repeats, report["kernel"]
     )
     report["serve"] = measure_serve(args.scale, args.repeats)

@@ -2,24 +2,18 @@
 """Cross-backend fidelity gate for the fast paths.
 
 Expands the fig02/fig14/fig16/fig19/fig20 bench families into their job
-specs, runs every spec on **all three** backends (the discrete-event
-engine and the functional and vectorized exact-schedule replays) across
-several seeds, and fails when anything observable diverges:
+specs, runs every spec on **both** backends (the discrete-event engine
+and the functional exact-schedule replay) across several seeds, and fails
+when anything observable diverges:
 
-* **backend divergence** — every backend must produce a result dataclass
-  *identical* to the event engine's: every hit/miss/eviction/spill
-  counter, sharing degree, latency mean, ``total_cycles``, and
+* **backend divergence** — the functional backend must produce a result
+  dataclass *identical* to the event engine's: every hit/miss/eviction/
+  spill counter, sharing degree, latency mean, ``total_cycles``, and
   ``events_executed``;
-* **sharded divergence** — with ``--shards N`` (default 4), every case
-  additionally runs sharded (:mod:`repro.sim.sharding`) on the event and
-  vectorized backends; the two merged results must be identical
-  (``shards>1`` is a deterministic partitioned-system approximation, so
-  it is compared backend-vs-backend and digest-pinned, never against the
-  unsharded numbers);
 * **golden drift** — the event engine's results are compared against the
   checked-in golden file (``scripts/fidelity_goldens.json``): integer
   counters must match exactly, floating-point latency means within
-  ``--float-tolerance`` (relative), and the sharded-run digest exactly.
+  ``--float-tolerance`` (relative).
   Goldens pin simulation semantics, so an intentional protocol change
   regenerates them with ``--update-goldens``;
 * optionally **speedup shortfall** — with ``--min-speedup``, the
@@ -160,18 +154,9 @@ def check_golden(
     record: dict, golden: dict, float_tolerance: float
 ) -> list[str]:
     """Problems between one measured record and its golden entry."""
-    problems: list[str] = []
-    if "sharded_digest" in golden and (
-        record.get("sharded_digest") != golden["sharded_digest"]
-    ):
-        # The sharded merge is digest-pinned separately: it can drift
-        # (merge-logic change) even when the unsharded run is unchanged.
-        problems.append(
-            f"sharded digest {golden['sharded_digest'][:12]} -> "
-            f"{str(record.get('sharded_digest'))[:12]}"
-        )
     if record["digest"] == golden["digest"]:
-        return problems
+        return []
+    problems: list[str] = []
     for field in ("events", "cycles"):
         if record[field] != golden.get(field):
             problems.append(
@@ -211,9 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--float-tolerance", type=float, default=1e-9,
                         help="relative tolerance for latency means "
                              "(default 1e-9)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="also cross-check event vs vectorized at this "
-                             "shard count (1 disables; default 4)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail if the functional backend's aggregate "
                              "wall-clock speedup is below this (default: off)")
@@ -244,7 +226,6 @@ def main(argv: list[str] | None = None) -> int:
                 golden_file.get("scale") == args.scale
                 and golden_file.get("seeds") == seeds
                 and golden_file.get("benches") == benches
-                and golden_file.get("shards", 1) == args.shards
             )
             if golden_meta_match:
                 goldens = golden_file.get("cases", {})
@@ -260,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     cases = []
     divergences = 0
     golden_failures = 0
-    event_seconds = functional_seconds = vectorized_seconds = 0.0
+    event_seconds = functional_seconds = 0.0
     new_goldens: dict[str, dict] = {}
     for spec in specs:
         cid = case_id(spec)
@@ -268,27 +249,12 @@ def main(argv: list[str] | None = None) -> int:
         ref = replace(spec, backend="event").execute()
         t_event = time.perf_counter() - start
         event_seconds += t_event
-        mismatched: dict[str, list[str]] = {}
-        fast_seconds: dict[str, float] = {}
-        for backend in ("functional", "vectorized"):
-            start = time.perf_counter()
-            fast = replace(spec, backend=backend).execute()
-            fast_seconds[backend] = time.perf_counter() - start
-            fields = diff_fields(ref, fast)
-            if fields:
-                mismatched[backend] = fields
-        functional_seconds += fast_seconds["functional"]
-        vectorized_seconds += fast_seconds["vectorized"]
+        start = time.perf_counter()
+        fast = replace(spec, backend="functional").execute()
+        t_functional = time.perf_counter() - start
+        functional_seconds += t_functional
+        mismatched = diff_fields(ref, fast)
         record = compact(ref)
-        if args.shards > 1:
-            sharded_ref = replace(spec, backend="event",
-                                  shards=args.shards).execute()
-            sharded_vec = replace(spec, backend="vectorized",
-                                  shards=args.shards).execute()
-            fields = diff_fields(sharded_ref, sharded_vec)
-            if fields:
-                mismatched[f"vectorized@s{args.shards}"] = fields
-            record["sharded_digest"] = result_digest(sharded_ref)
         new_goldens[cid] = record
         golden_problems: list[str] = []
         if goldens:
@@ -306,20 +272,14 @@ def main(argv: list[str] | None = None) -> int:
         if golden_problems:
             status = "GOLDEN-DRIFT" if status == "ok" else status
             golden_failures += 1
-        speedup = (
-            t_event / fast_seconds["functional"]
-            if fast_seconds["functional"] > 0 else float("inf")
-        )
+        speedup = t_event / t_functional if t_functional > 0 else float("inf")
         print(
             f"  {cid:<44} {ref.events_executed:>8,} ev  "
             f"event {t_event:6.2f}s  functional "
-            f"{fast_seconds['functional']:6.2f}s  vectorized "
-            f"{fast_seconds['vectorized']:6.2f}s  {speedup:4.1f}x  {status}"
+            f"{t_functional:6.2f}s  {speedup:4.1f}x  {status}"
         )
-        for backend, fields in mismatched.items():
-            for field in fields:
-                print(f"    {backend} diverged field: {field}",
-                      file=sys.stderr)
+        for field in mismatched:
+            print(f"    functional diverged field: {field}", file=sys.stderr)
         for problem in golden_problems:
             print(f"    golden: {problem}", file=sys.stderr)
         cases.append(
@@ -328,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
                 "events": ref.events_executed,
                 "total_cycles": ref.total_cycles,
                 "event_seconds": round(t_event, 4),
-                "functional_seconds": round(fast_seconds["functional"], 4),
-                "vectorized_seconds": round(fast_seconds["vectorized"], 4),
+                "functional_seconds": round(t_functional, 4),
                 "speedup": round(speedup, 3),
                 "identical": not mismatched,
                 "mismatched_fields": mismatched,
@@ -346,13 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     speedup = (
         event_seconds / functional_seconds if functional_seconds > 0 else 0.0
     )
-    vec_speedup = (
-        event_seconds / vectorized_seconds if vectorized_seconds > 0 else 0.0
-    )
     print(
         f"\naggregate: event {event_seconds:.1f}s, functional "
-        f"{functional_seconds:.1f}s ({speedup:.2f}x), vectorized "
-        f"{vectorized_seconds:.1f}s ({vec_speedup:.2f}x); "
+        f"{functional_seconds:.1f}s ({speedup:.2f}x); "
         f"{divergences} divergences, {golden_failures} golden failures"
     )
 
@@ -373,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
                     "scale": args.scale,
                     "seeds": seeds,
                     "benches": benches,
-                    "shards": args.shards,
                     "cases": new_goldens,
                 },
                 indent=2,
@@ -389,7 +343,6 @@ def main(argv: list[str] | None = None) -> int:
             "scale": args.scale,
             "seeds": seeds,
             "benches": benches,
-            "shards": args.shards,
             "golden_comparison": bool(goldens),
             "summary": {
                 "cases": len(cases),
@@ -397,9 +350,7 @@ def main(argv: list[str] | None = None) -> int:
                 "golden_failures": golden_failures,
                 "event_seconds": round(event_seconds, 2),
                 "functional_seconds": round(functional_seconds, 2),
-                "vectorized_seconds": round(vectorized_seconds, 2),
                 "speedup": round(speedup, 3),
-                "vectorized_speedup": round(vec_speedup, 3),
             },
             "cases": cases,
         }

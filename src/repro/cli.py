@@ -273,7 +273,6 @@ def _run_via_server(args: argparse.Namespace) -> int:
         "config": args.config,
         "scale": args.scale,
         "backend": args.backend,
-        "shards": args.shards,
     }
     if trace_path is not None:
         # The daemon reads the file itself, so the path must be visible
@@ -383,44 +382,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             config, args.scale, args.seed, split=args.split,
         )
 
-    if args.shards < 1:
-        raise _cli_error(f"--shards must be >= 1, got {args.shards}")
-
     system: MultiGPUSystem | None = None
-    if args.shards != 1:
-        from repro.sim.backends import BackendUnsupported
-        from repro.sim.sharding import run_sharded
+    if args.backend == "functional":
+        from repro.sim.backends import BackendUnsupported, run_functional
 
         def execute() -> SimulationResult:
             try:
-                return run_sharded(
-                    config, workload, policy,
-                    backend=args.backend,
-                    shards=args.shards,
-                    max_cycles=args.max_cycles,
-                    max_events=args.max_events,
-                    record_iommu_stream=args.record_stream,
-                    snapshot_interval=args.snapshot_interval,
-                    faults=faults,
-                    check_invariants=args.check_invariants,
-                    telemetry=telemetry,
-                )
-            except BackendUnsupported as exc:
-                raise _cli_error(f"--backend {args.backend}: {exc}") from None
-            except ValueError as exc:
-                raise _cli_error(f"--shards {args.shards}: {exc}") from None
-    elif args.backend in ("functional", "vectorized"):
-        from repro.sim.backends import (
-            BackendUnsupported,
-            run_functional,
-            run_vectorized,
-        )
-
-        runner = run_functional if args.backend == "functional" else run_vectorized
-
-        def execute() -> SimulationResult:
-            try:
-                return runner(
+                return run_functional(
                     config, workload, policy,
                     max_cycles=args.max_cycles,
                     max_events=args.max_events,
@@ -739,7 +707,6 @@ def _bench_via_server(args: argparse.Namespace) -> int:
         "benches": [args.only or "*"],
         "scale": args.scale,
         "backend": args.backend,
-        "shards": args.shards,
     }
     if args.seed is not None:
         payload["seed"] = args.seed
@@ -904,16 +871,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         removed = cache.clear()
         print(f"cleared {removed} cache entries from {cache.cache_dir}")
 
-    if args.shards < 1:
-        raise _cli_error(f"--shards must be >= 1, got {args.shards}")
     pairs = expand_matrix(
-        benches, scale=args.scale, seed=args.seed, backend=args.backend,
-        shards=args.shards,
+        benches, scale=args.scale, seed=args.seed, backend=args.backend
     )
     if include_trace:
         pairs = pairs + trace_bench_pairs(
             args.trace, scale=args.scale, seed=args.seed, split=args.split,
-            backend=args.backend, shards=args.shards,
+            backend=args.backend,
         )
     workers = args.jobs if args.jobs is not None else default_workers()
     if args.profile:
@@ -1327,14 +1291,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(run, optional_workload=True)
     run.add_argument("--policy", default="baseline",
                      help=f"translation policy ({', '.join(policy_names())})")
-    run.add_argument("--backend", choices=("event", "functional", "vectorized"),
+    run.add_argument("--backend", choices=("event", "functional"),
                      default="event",
-                     help="simulation backend: the discrete-event engine or one "
-                          "of the bit-exact fast paths (see docs/backends.md)")
-    run.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="split the run into N GPU-block worker processes "
-                          "with a deterministic merge (see docs/backends.md; "
-                          "N>1 is a partitioned-system approximation)")
+                     help="simulation backend: the discrete-event engine or "
+                          "the bit-exact functional replay (see docs/backends.md)")
     run.add_argument("--json", help="write the result to this JSON file")
     run.add_argument("--record-stream", action="store_true",
                      help="record the IOMMU request stream")
@@ -1412,15 +1372,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace-length scale for every job (default 0.3)")
     bench.add_argument("--seed", type=int, default=None,
                        help="override the workload/config random seed")
-    bench.add_argument("--backend", choices=("event", "functional", "vectorized"),
+    bench.add_argument("--backend", choices=("event", "functional"),
                        default="event",
-                       help="simulation backend for every job (functional/"
-                            "vectorized = the bit-exact fast paths, see "
-                            "docs/backends.md)")
-    bench.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="worker-process shards per job (N>1 is a "
-                            "deterministic partitioned-system approximation, "
-                            "see docs/backends.md)")
+                       help="simulation backend for every job (functional = "
+                            "the bit-exact fast path, see docs/backends.md)")
     bench.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes (default: one per core)")
     bench.add_argument("--retries", type=int, default=1, metavar="N",

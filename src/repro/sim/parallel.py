@@ -76,9 +76,7 @@ class JobSpec:
     options: tuple[tuple[str, Any], ...] = ()
     """Extra ``simulate`` keyword arguments, sorted ``(name, value)``."""
     backend: str = "event"
-    """Simulation backend (``event``, ``functional``, or ``vectorized``)."""
-    shards: int = 1
-    """Worker-process shards (see :mod:`repro.sim.sharding`); 1 = unsharded."""
+    """Simulation backend (``event`` or ``functional``)."""
 
     def __post_init__(self) -> None:
         if self.kind not in _RUNNERS:
@@ -86,8 +84,6 @@ class JobSpec:
                 f"unknown job kind {self.kind!r}; choose from {sorted(_RUNNERS)}"
             )
         validate_backend(self.backend)
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
 
     def resolved_config(self) -> SystemConfig:
         """The spec's config, with ``None`` resolved to the baseline."""
@@ -97,8 +93,6 @@ class JobSpec:
     def label(self) -> str:
         """Compact human-readable identity for progress output."""
         suffix = "" if self.backend == "event" else f"+{self.backend}"
-        if self.shards != 1:
-            suffix += f"+s{self.shards}"
         return f"{self.kind}:{self.workload}/{self.policy}@{self.scale:g}{suffix}"
 
     def fingerprint(self) -> dict[str, Any]:
@@ -121,7 +115,6 @@ class JobSpec:
             seed=self.seed,
             options=dict(self.options),
             backend=self.backend,
-            shards=self.shards,
         )
 
     def execute(self) -> SimulationResult:
@@ -130,8 +123,6 @@ class JobSpec:
         kwargs = dict(self.options)
         if self.backend != "event":
             kwargs["backend"] = self.backend
-        if self.shards != 1:
-            kwargs["shards"] = self.shards
         if self.kind == "alone":
             return run_alone(
                 self.workload, self.resolved_config(), self.policy,
@@ -334,22 +325,18 @@ def expand_matrix(
     scale: float,
     seed: int | None = None,
     backend: str = "event",
-    shards: int = 1,
 ) -> list[tuple[str, JobSpec]]:
     """Expand bench families into their ``(bench, spec)`` pairs.
 
-    ``backend``/``shards`` rewrite every expanded spec to run on that
-    backend and shard count (the matrix builders declare jobs
-    backend-agnostically).
+    ``backend`` rewrites every expanded spec to run on that backend (the
+    matrix builders declare jobs backend-agnostically).
     """
     validate_backend(backend)
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     pairs: list[tuple[str, JobSpec]] = []
     for bench in benches:
         for spec in BENCH_MATRIX[bench](scale, seed):
-            if backend != spec.backend or shards != spec.shards:
-                spec = replace(spec, backend=backend, shards=shards)
+            if backend != spec.backend:
+                spec = replace(spec, backend=backend)
             pairs.append((bench, spec))
     return pairs
 
@@ -370,7 +357,6 @@ def trace_bench_pairs(
     seed: int | None = None,
     split: str = "round-robin",
     backend: str = "event",
-    shards: int = 1,
 ) -> list[tuple[str, JobSpec]]:
     """Expand one ingested trace into a ``(bench, spec)`` family.
 
@@ -386,7 +372,7 @@ def trace_bench_pairs(
             family,
             JobSpec(
                 "trace", path, policy, None, scale, seed,
-                options=(("split", split),), backend=backend, shards=shards,
+                options=(("split", split),), backend=backend,
             ),
         )
         for policy in TRACE_FAMILY_POLICIES

@@ -547,14 +547,13 @@ class UnseededRNGRule(Rule):
     makes the run irreproducible, which in a replay backend also means
     silent divergence from the event engine.
 
-    Inside backend code (``repro/sim/backends/``, ``repro/sim/
-    sharding.py``) the rule is stricter: *any* ``numpy.random``
-    construction is flagged, seeded or not.  Bit-identical replay
-    requires backends to draw randomness through the seeded structures
-    they share with the event engine (the tracker's ``Random(seed)``
-    chain), never through a generator of their own — a numpy generator
-    seeded with the same integer still produces a different draw
-    sequence than CPython's Mersenne Twister.
+    Inside backend code (``repro/sim/backends/``) the rule is stricter:
+    *any* ``numpy.random`` construction is flagged, seeded or not.
+    Bit-identical replay requires backends to draw randomness through
+    the seeded structures they share with the event engine (the
+    tracker's ``Random(seed)`` chain), never through a generator of
+    their own — a numpy generator seeded with the same integer still
+    produces a different draw sequence than CPython's Mersenne Twister.
     """
 
     id = "D9"
@@ -567,7 +566,7 @@ class UnseededRNGRule(Rule):
     _CONSTRUCTORS = frozenset(
         {"Random", "default_rng", "SeedSequence", "PCG64", "Philox"}
     )
-    _BACKEND_PATHS = ("/sim/backends/", "/sim/sharding")
+    _BACKEND_PATHS = ("/sim/backends/",)
 
     def interests(self) -> Iterable[type[ast.AST]]:
         return (ast.Call,)

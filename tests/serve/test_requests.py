@@ -20,7 +20,7 @@ from repro.serve.requests import (
 
 WORKLOADS = st.sampled_from(["MM", "FFT", "ST", "W1", "W5", "W17"])
 POLICIES = st.sampled_from(["baseline", "least-tlb", "tlb-probing"])
-BACKENDS = st.sampled_from(["event", "functional", "vectorized"])
+BACKENDS = st.sampled_from(["event", "functional"])
 
 JOB_PAYLOADS = st.fixed_dictionaries(
     {"workload": WORKLOADS},
@@ -30,7 +30,6 @@ JOB_PAYLOADS = st.fixed_dictionaries(
                            allow_nan=False, allow_infinity=False),
         "seed": st.integers(min_value=0, max_value=2**31),
         "backend": BACKENDS,
-        "shards": st.integers(min_value=1, max_value=4),
         "options": st.fixed_dictionaries({}, optional={
             "record_stream": st.booleans(),
             "timeline": st.integers(min_value=0, max_value=10_000),
@@ -65,7 +64,7 @@ class TestParseJob:
         a local ``repro bench`` of the same flags computes, so the daemon
         and the CLI share persistent cache entries."""
         local = expand_matrix(select_benches("fig02"), scale=0.2, seed=7,
-                              backend="functional", shards=1)
+                              backend="functional")
         served = parse_request({"benches": ["fig02"], "scale": 0.2,
                                 "seed": 7, "backend": "functional"})
         assert [
@@ -77,8 +76,7 @@ class TestParseJob:
         its cache entry with the identical bench-matrix spec."""
         matrix_spec = JobSpec(kind="single", workload="MM",
                               policy="baseline", config=None, scale=0.2,
-                              seed=None, options=(), backend="functional",
-                              shards=1)
+                              seed=None, options=(), backend="functional")
         served = parse_job({"workload": "MM", "scale": 0.2,
                             "backend": "functional"})
         assert fingerprint_digest(served.fingerprint()) == \
@@ -91,7 +89,7 @@ class TestParseJob:
         expected = JobSpec(
             kind="single", workload="MM", policy="baseline",
             config=resolve_preset("dws").derive(seed=11),
-            scale=0.3, seed=11, options=(), backend="event", shards=1,
+            scale=0.3, seed=11, options=(), backend="event",
         )
         assert fingerprint_digest(spec.fingerprint()) == \
             fingerprint_digest(expected.fingerprint())
@@ -132,7 +130,7 @@ class TestParseRequest:
         })
         assert len(parsed.pairs) == 1 + len(
             expand_matrix(select_benches("fig02"), scale=0.1, seed=0,
-                          backend="functional", shards=1))
+                          backend="functional"))
 
     def test_client_field(self):
         parsed = parse_request({"client": "alice",
@@ -161,3 +159,21 @@ class TestParseRequest:
                 "jobs": [{"workload": "MM", "seed": i}
                          for i in range(MAX_JOBS_PER_REQUEST + 1)],
             })
+
+
+class TestRemovedFields:
+    """``shards`` and the vectorized backend no longer exist: requests
+    carrying them are refused by the ordinary field/backend checks."""
+
+    def test_job_shards_is_an_unknown_field(self):
+        with pytest.raises(RequestError, match=r"unknown job field\(s\): shards"):
+            parse_job({"workload": "MM", "shards": 1})
+
+    def test_request_shards_is_an_unknown_field(self):
+        with pytest.raises(RequestError,
+                           match=r"unknown request field\(s\): shards"):
+            parse_request({"benches": ["fig02"], "shards": 1})
+
+    def test_vectorized_is_an_unknown_backend(self):
+        with pytest.raises(RequestError, match="unknown backend 'vectorized'"):
+            parse_job({"workload": "MM", "backend": "vectorized"})

@@ -63,32 +63,22 @@ class TestFunctionalBackendCli:
         assert excinfo.value.code == 2
         assert "error: --backend functional" in capsys.readouterr().err
 
-    def test_run_vectorized_backend(self):
-        assert main([
-            "run", "FIR", "--scale", "0.02", "--backend", "vectorized",
-        ]) == 0
 
+class TestRemovedOptions:
+    """The deleted vectorized backend and ``--shards`` flag are refused
+    as usage errors, never silently reinterpreted."""
 
-class TestShardedCli:
-    def test_run_sharded(self):
-        assert main([
-            "run", "W1", "--scale", "0.02", "--backend", "vectorized",
-            "--shards", "2",
-        ]) == 0
-
-    def test_run_rejects_zero_shards(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "FIR", "--backend", "vectorized"],
+            ["run", "FIR", "--shards", "2"],
+            ["bench", "--shards", "2"],
+        ],
+        ids=["run-backend-vectorized", "run-shards", "bench-shards"],
+    )
+    def test_argparse_refuses(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "FIR", "--scale", "0.02", "--shards", "0"])
+            main(argv)
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_run_rejects_global_order_options_with_shards(self, capsys):
-        # Snapshots need one global event order; sharding must refuse
-        # loudly rather than approximate them per-shard.
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "run", "FIR", "--scale", "0.02", "--shards", "2",
-                "--snapshot-interval", "100",
-            ])
-        assert excinfo.value.code == 2
-        assert "error: --shards 2" in capsys.readouterr().err

@@ -90,8 +90,8 @@ def test_get_rule_unknown_raises():
 
 
 class TestD9BackendScope:
-    """D9's stricter backend clause: inside ``repro/sim/backends/`` (and
-    ``sharding.py``) even a *seeded* numpy generator is flagged — replay
+    """D9's stricter backend clause: inside ``repro/sim/backends/`` even a
+    *seeded* numpy generator is flagged — replay
     fidelity requires drawing through the engine's own seeded
     structures, and an identically-seeded numpy generator still yields a
     different draw sequence than CPython's Mersenne Twister."""
@@ -104,8 +104,8 @@ class TestD9BackendScope:
 
     def test_seeded_numpy_generator_fires_in_backend_code(self):
         for path in (
-            "src/repro/sim/backends/vectorized.py",
-            "src/repro/sim/sharding.py",
+            "src/repro/sim/backends/functional.py",
+            "src/repro/sim/backends/new_backend.py",
         ):
             violations = self._check(self.SEEDED_NUMPY, path)
             assert [v.line for v in violations] == [2], path
