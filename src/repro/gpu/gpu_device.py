@@ -247,7 +247,7 @@ class GPUDevice:
         if self.local_tables is not None:
             # Install the mapping in the device-memory page table so future
             # misses resolve locally (Figure 23 variant).
-            self.local_tables.table_for(pid).map(vpn, ppn)
+            self.local_tables.install(pid, vpn, ppn)
         entry = TLBEntry(pid, vpn, ppn, spill_budget=spill_budget, owner_gpu=self.gpu_id)
         self._insert_l2(entry)
         waiters = self.mshr.pop(key, [])

@@ -17,6 +17,8 @@ same cycles, in the same same-cycle FIFO order — through one flat loop:
 * TLB state lives in :class:`repro.structures.tlb_array.PackedTLB` mirrors
   (packed integer keys/payloads, per-set insertion-ordered LRU) that are
   bit-exact against ``SetAssociativeTLB`` with LRU replacement;
+* page tables are the engine's own :class:`repro.structures.page_table.PageTableManager`,
+  whose per-process ``{vpn: ppn}`` dicts the walk dispatch reads directly;
 * link serialization is two floats of per-link state updated inline with
   the exact arithmetic of :class:`repro.interconnect.link.Link.send`;
 * protocol decisions (spill receiver, probe target, walk cycles, budget
@@ -58,6 +60,7 @@ from repro.core.protocol import (
 from repro.core.tracker import LocalTLBTracker
 from repro.engine.watchdog import SimulationStalledError
 from repro.sim.results import AppResult, SimulationResult
+from repro.structures.page_table import PageTableManager
 from repro.structures.tlb_array import VPN_BITS, InfinitePackedTLB, PackedTLB
 from repro.workloads.trace import Workload
 
@@ -190,83 +193,6 @@ class _Pend:
         self.ticket: list | None = None
 
 
-class _FlatPageTables:
-    """Flat mirror of :class:`repro.structures.page_table.PageTableManager`.
-
-    The event engine walks a real 4-level radix tree per request; with the
-    footprint prefaulted, every walk resolves to the same leaf lookup, so
-    the mirror keeps one ``{vpn: ppn}`` dict per PID and the shared
-    ``next_ppn`` allocator.  Allocation order (and therefore every PPN) is
-    identical to the radix manager's.
-
-    Faulted walks bill latency by the level where the walk hit a hole, so
-    the mirror must know which *intermediate* nodes exist.  Those are
-    exactly the level-``k`` VPN prefixes of the mapped pages (``map``
-    creates them, nothing in the replayed scope removes them); they are
-    materialised lazily on the first fault per PID since a fully prefaulted
-    run never faults at all.
-    """
-
-    __slots__ = ("levels", "bits", "maps", "_prefixes", "next_ppn")
-
-    def __init__(self, levels: int, bits_per_level: int = 9) -> None:
-        self.levels = levels
-        self.bits = bits_per_level
-        self.maps: dict[int, dict[int, int]] = {}
-        self._prefixes: dict[int, set[int]] = {}
-        self.next_ppn = 1  # PPN 0 reserved, like PageTableManager
-
-    def prefault(self, pid: int, vpns: list[int]) -> None:
-        mapping = self.maps.setdefault(pid, {})
-        nxt = self.next_ppn
-        for vpn in vpns:
-            if vpn not in mapping:
-                mapping[vpn] = nxt
-                nxt += 1
-        self.next_ppn = nxt
-        self._prefixes.pop(pid, None)  # rebuild lazily if a fault follows
-
-    def _prefix_set(self, pid: int) -> set[int]:
-        prefixes = self._prefixes.get(pid)
-        if prefixes is None:
-            prefixes = set()
-            bits = self.bits
-            for k in range(1, self.levels):
-                shift = bits * (self.levels - k)
-                tag = k << 60
-                for vpn in self.maps[pid]:
-                    prefixes.add(tag | (vpn >> shift))
-            self._prefixes[pid] = prefixes
-        return prefixes
-
-    def fault_levels(self, pid: int, vpn: int) -> int:
-        """``levels_touched`` of a walk that faulted on ``(pid, vpn)`` —
-        the index of the first radix level with a hole."""
-        if pid not in self.maps:
-            return 1  # unknown PID faults at the first level
-        prefixes = self._prefix_set(pid)
-        bits = self.bits
-        for k in range(1, self.levels):
-            if (k << 60) | (vpn >> (bits * (self.levels - k))) not in prefixes:
-                return k
-        return self.levels
-
-    def map_page(self, pid: int, vpn: int) -> int:
-        mapping = self.maps.setdefault(pid, {})
-        existing = mapping.get(vpn)
-        if existing is not None:
-            return existing
-        ppn = self.next_ppn
-        self.next_ppn += 1
-        mapping[vpn] = ppn
-        prefixes = self._prefixes.get(pid)
-        if prefixes is not None:
-            bits = self.bits
-            for k in range(1, self.levels):
-                prefixes.add((k << 60) | (vpn >> (bits * (self.levels - k))))
-        return ppn
-
-
 def _resolve_policy(
     workload: Workload, policy: str, policy_options: dict[str, Any]
 ) -> tuple[bool, str, bool, bool, bool, str]:
@@ -387,7 +313,7 @@ def run_functional(
                 f"has {num_gpus} GPUs"
             )
 
-    page_tables = _FlatPageTables(config.page_table_levels)
+    page_tables = PageTableManager(config.page_table_levels)
     l1_cfg = config.gpu.l1_tlb
     l2_cfg = config.gpu.l2_tlb
     l1_assoc = l1_cfg.associativity

@@ -2,7 +2,7 @@
 
 from repro.structures.bloom_filter import CountingBloomFilter
 from repro.structures.cuckoo_filter import CuckooFilter, PartitionedCuckooFilter
-from repro.structures.page_table import PageTable, PageTableManager, WalkResult
+from repro.structures.page_table import PageTableManager, WalkResult
 from repro.structures.replacement import (
     FIFOPolicy,
     LRUPolicy,
@@ -22,7 +22,6 @@ __all__ = [
     "CountingBloomFilter",
     "CuckooFilter",
     "PartitionedCuckooFilter",
-    "PageTable",
     "PageTableManager",
     "WalkResult",
     "FIFOPolicy",

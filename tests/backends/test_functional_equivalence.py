@@ -28,7 +28,7 @@ from repro.config.system import (
     TrackerConfig,
 )
 from repro.sim.backends import BackendUnsupported, run_functional
-from repro.sim.driver import run_single_app, simulate
+from repro.sim.driver import run_multi_app, run_single_app, simulate
 from repro.workloads.multi_app import build_single_app_workload
 from repro.workloads.trace import CUStream, Placement, Workload
 
@@ -112,6 +112,25 @@ def test_fast_backends_are_bit_identical(backend, policy, kind, scenario):
 def test_real_trace_is_bit_identical(backend, policy):
     ref = run_single_app("MM", policy=policy, scale=0.02)
     fast = run_single_app("MM", policy=policy, scale=0.02, backend=backend)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+@pytest.mark.parametrize(
+    "runner, name, policy",
+    [
+        (run_single_app, "MM", "least-tlb"),
+        (run_single_app, "FIR", "baseline"),
+        (run_multi_app, "W10", "least-tlb"),
+    ],
+    ids=["MM-least-tlb", "FIR-baseline", "W10-least-tlb"],
+)
+def test_faulted_walks_are_bit_identical(runner, name, policy):
+    # Nothing is pre-faulted, so first touches fault: this pins the walk
+    # depth billed for a fault and the PRI path in both backends.
+    kwargs = dict(policy=policy, scale=0.005, seed=1, prefault=False)
+    ref = runner(name, **kwargs)
+    fast = runner(name, backend="functional", **kwargs)
+    assert ref.walker_counters["walks_faulted"] > 0
     assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
 
 

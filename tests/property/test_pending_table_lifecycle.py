@@ -95,7 +95,7 @@ def _make_system(*, remote_entry: bool) -> tuple[MultiGPUSystem, ATSRequest]:
         ),
         watchdog=False,
     )
-    system.page_tables.table_for(PID).map(VPN, PPN)
+    system.page_tables.install(PID, VPN, PPN)
     if remote_entry:
         system.gpus[1].l2_tlb.insert(TLBEntry(PID, VPN, PPN))
     request = ATSRequest(gpu_id=0, pid=PID, vpn=VPN, issue_time=0, measured=True)
